@@ -17,7 +17,7 @@ GO ?= go
 # Per-target budget for fuzz-smoke; CI keeps the default.
 FUZZTIME ?= 30s
 
-.PHONY: build test vet fmt race bench bench-smoke bench-baseline bench-compare smoke smoke-tcp smoke-serve smoke-swap smoke-chaos smoke-cluster smoke-admission lint fuzz-smoke race-stress ci
+.PHONY: build test test-cpu vet fmt race bench bench-smoke bench-baseline bench-compare smoke smoke-tcp smoke-serve smoke-swap smoke-chaos smoke-cluster smoke-admission lint fuzz-smoke race-stress ci
 
 build:
 	$(GO) build ./...
@@ -37,6 +37,12 @@ fmt:
 
 race:
 	$(GO) test -race ./...
+
+# The compute kernels and the serving stack under -race, shuffled, at
+# GOMAXPROCS 1, 2 and 4: a test that leans on scheduling instead of
+# waiting on an event fails here, whatever the host's core count.
+test-cpu:
+	$(GO) test -race -shuffle=on -cpu 1,2,4 ./internal/tensor/... ./internal/nn/... ./internal/core/... ./internal/serve/...
 
 # Full benchmark sweep (regenerates every paper exhibit; slow).
 bench:
@@ -170,4 +176,4 @@ race-stress:
 smoke-admission:
 	scripts/smoke_admission.sh
 
-ci: build fmt lint test race bench-smoke fuzz-smoke smoke smoke-tcp smoke-serve smoke-swap smoke-chaos smoke-cluster smoke-admission
+ci: build fmt lint test test-cpu race bench-smoke fuzz-smoke smoke smoke-tcp smoke-serve smoke-swap smoke-chaos smoke-cluster smoke-admission

@@ -52,7 +52,7 @@ func main() {
 		trainFrac = flag.Float64("trainfrac", 2.0/3.0, "train fraction used at training time")
 		network   = flag.String("network", "ethernet", "virtual network model: ethernet | infiniband | none")
 		workers   = flag.Int("workers", 1, "intra-layer parallelism of the convolution kernels (results are bit-identical for any value)")
-		backend   = flag.String("conv", "gemm", "convolution engine: gemm (im2col fast path) | naive (reference loops)")
+		backend   = flag.String("conv", "gemm", "convolution engine: gemm (fast path: direct conv, GEMM transpose conv) | naive (reference loops)")
 		precision = flag.String("precision", "f64", "compute precision: f64 (reference, bit-reproducible) | f32 (faster, within documented error budget)")
 		exchange  = flag.String("exchange", "blocking", "halo exchange schedule: blocking | overlap (bit-identical frames)")
 		transport = flag.String("transport", "mem", "mpi transport: mem (in-process) | tcp (multi-process; see cmd/mpirun)")

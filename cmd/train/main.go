@@ -60,7 +60,7 @@ func main() {
 		mVersion   = flag.String("model-version", "", "model version recorded in the artifact manifest (default: v1)")
 		concurrent = flag.Bool("concurrent", false, "execute ranks concurrently (goroutines) instead of critical-path timing mode")
 		workers    = flag.Int("workers", 1, "intra-layer parallelism of the convolution kernels (results are bit-identical for any value)")
-		backend    = flag.String("conv", "gemm", "convolution engine: gemm (im2col fast path) | naive (reference loops)")
+		backend    = flag.String("conv", "gemm", "convolution engine: gemm (fast path: direct conv, GEMM transpose conv) | naive (reference loops)")
 		precision  = flag.String("precision", "f64", "f64 | f32: training always runs f64; f32 verifies after training that the artifact can be served on the float32 path (core.WithPrecision)")
 		progress   = flag.Bool("progress", false, "print per-rank per-epoch training losses as they happen")
 		transport  = flag.String("transport", "mem", "mpi transport: mem (in-process) | tcp (multi-process; see cmd/mpirun)")

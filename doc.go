@@ -19,8 +19,8 @@
 // Serving is micro-batched end to end (DESIGN.md §9). The batch axis
 // is first-class through the whole compute stack — every nn layer
 // maps [N, ...] inputs such that image i's output is bit-identical to
-// a batch-of-1 call, with the convolution layers sweeping one tall
-// im2col+GEMM task space per batch — and core.Engine.PredictBatch
+// a batch-of-1 call, with each convolution layer sweeping the whole
+// batch in one kernel call — and core.Engine.PredictBatch
 // evaluates a micro-batch of requests in one pass over the rank
 // models (cache-sized image chunks, one pooled clone set).
 // core.Batcher (options core.WithMaxBatch, core.WithMaxDelay)
@@ -124,8 +124,8 @@
 // Inference has two compute widths (DESIGN.md §13). Float64 is the
 // default and carries every bit-identity guarantee; core.WithPrecision
 // (nn.F32) opts an Engine into the float32 path — float64 master
-// weights narrowed and panel-packed once per Engine, AVX-512/AVX2 f32
-// GEMM and direct-convolution kernels in between, one widening at the
+// weights narrowed and packed once per Engine, AVX-512/AVX2 f32
+// direct-convolution and GEMM kernels in between, one widening at the
 // output — for ~1.76x rollout throughput within a documented error
 // budget (EXPERIMENTS.md). The fused steady state allocates nothing
 // per step, and the f32 path keeps its own determinism: bit-identical
@@ -147,9 +147,10 @@
 // {mem, tcp} x {blocking, overlap}. Every substrate the scheme needs
 // is implemented in this module:
 //
-//   - internal/tensor — dense float64 N-d tensors and the GEMM +
-//     im2col convolution engine (blocked panel kernels with AVX2/
-//     AVX-512 FMA assembly on amd64 and a portable fallback)
+//   - internal/tensor — dense float64 N-d tensors, the lowering-free
+//     direct convolution kernel (both precisions) and the GEMM +
+//     im2col engine (blocked panel kernels with AVX2/AVX-512 FMA
+//     assembly on amd64 and a portable fallback)
 //   - internal/nn     — CNN layers with hand-derived backprop and a
 //     native batch axis (batched outputs bit-identical per image), a
 //     fast-path/slow-path engine switch (DESIGN.md §3, pinnable

@@ -50,8 +50,8 @@ func (eng *Engine) batchChunk(he, we int) int {
 // forwarded through ONE model clone in cache-sized chunks
 // (DESIGN.md §9), so a batch of B requests costs one clone-set
 // acquisition and ~1/B of the per-call fixed overhead of B Predict
-// calls, and the convolution layers sweep the whole chunk as one
-// lowered product.
+// calls, and each convolution layer sweeps the whole chunk in one
+// kernel call.
 //
 // Per-request error isolation: a request that fails validation
 // (ErrBadWindow, ErrShapeMismatch) gets its own PredictResult.Err and

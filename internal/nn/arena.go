@@ -1,10 +1,10 @@
 package nn
 
 // Arena is a grow-only bump allocator for per-call scratch buffers.
-// The GEMM convolution path needs a large im2col workspace (C·K²
-// times the input size) on every Forward and Backward; allocating it
-// fresh each call would dominate the allocation profile of training
-// and of the rollout loop. An Arena hands out slices from reusable
+// The convolution layers need a workspace on every Forward and
+// Backward (staged padded planes for Conv2D, im2col panels for
+// ConvTranspose2D); allocating it fresh each call would dominate the
+// allocation profile of training and of the rollout loop. An Arena hands out slices from reusable
 // chunks instead: after the first pass has grown the chunks to their
 // steady-state sizes, every later pass allocates nothing.
 //

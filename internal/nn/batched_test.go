@@ -10,10 +10,12 @@ import (
 // These tests pin the contract the serving stack's micro-batching is
 // built on (DESIGN.md §9): pushing a batch of N images through any
 // layer produces, image for image, exactly the same bits as N
-// batch-of-1 calls. For the convolution layers this holds because tile
-// geometry is strictly per-image (tiles never span image boundaries),
-// so every output element sees the same panel position — and therefore
-// the same SIMD body/tail rounding — in both cases.
+// batch-of-1 calls. For Conv2D this holds by construction — the direct
+// kernel runs every output element through the same instruction
+// sequence wherever it sits — and for ConvTranspose2D because its GEMM
+// tiles are strictly per-image, so every output element sees the same
+// panel position, and so the same SIMD body/tail rounding, in both
+// cases.
 
 // stackImages builds an [N, ...] batch from equal-shaped [1, ...]
 // batch-of-1 inputs.

@@ -7,17 +7,20 @@ import (
 )
 
 // ConvBackend selects between the two convolution engines (DESIGN.md
-// §3): the default FastPath lowers every convolution to a blocked
-// matrix product via im2col, SlowPath keeps the original nested loops
-// as an independently-derived reference implementation. The two agree
-// to float round-off on forward results and on all gradients — the
-// crosscheck tests assert it — so the switch is a debugging and
-// benchmarking aid, never a semantic choice.
+// §3): the default FastPath runs Conv2D as a lowering-free direct
+// convolution (and ConvTranspose2D as im2col + GEMM), SlowPath keeps
+// the original nested loops as an independently-derived reference
+// implementation — the oracle the fast path is tested against. The
+// two agree to float round-off on forward results and on all
+// gradients — the crosscheck tests assert it — so the switch is a
+// debugging and benchmarking aid, never a semantic choice.
 type ConvBackend int
 
 const (
-	// FastPath routes Conv2D and ConvTranspose2D through the im2col +
-	// GEMM engine in internal/tensor (gemm.go, im2col.go).
+	// FastPath routes Conv2D through the direct convolution kernel
+	// (internal/tensor/directconv.go) and ConvTranspose2D through the
+	// im2col + GEMM engine (gemm.go, im2col.go). Its flag name stays
+	// "gemm".
 	FastPath ConvBackend = iota
 	// SlowPath uses the naive 6-deep loop nests, kept as the readable
 	// reference the fast path is validated against.
@@ -58,10 +61,11 @@ type Conv2D struct {
 	Kernel      int
 	Pad         int
 
-	// Workers enables intra-layer parallelism. On the GEMM fast path
-	// the forward pass fans output-column tiles out to goroutines and
-	// the backward pass parallelizes row bands inside each panel
-	// product; on the naive slow path the forward pass fans out over
+	// Workers enables intra-layer parallelism. On the fast path the
+	// forward pass fans output channels out to goroutines and the
+	// backward pass fans out (output-channel pair × input channel)
+	// weight-gradient tasks and input-channel dx tasks, image by image;
+	// on the naive slow path the forward pass fans out over
 	// (batch × output channel) tasks and the backward pass over input
 	// channels. 0 or 1 (the default) keeps the layer strictly
 	// single-threaded, which the critical-path timing model relies on
@@ -73,12 +77,12 @@ type Conv2D struct {
 
 	// cacheInput holds what Backward needs from the last Forward: a
 	// padded copy of the input on the slow path, a reference to the
-	// raw input on the fast path (which re-lowers it instead of
-	// padding). cacheFast records which, so a Backward always matches
+	// raw input on the fast path (whose kernel stages the padding
+	// itself). cacheFast records which, so a Backward always matches
 	// its own Forward even if the Backend switch moves in between.
 	cacheInput *tensor.Tensor
 	cacheFast  bool
-	scratch    *Arena       // im2col workspace (never nil after NewConv2D)
+	scratch    *Arena       // kernel workspace (never nil after NewConv2D)
 	backend    *ConvBackend // per-layer pin; nil follows the package switch
 	name       string
 
@@ -176,7 +180,7 @@ func (c *Conv2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 		return forwardVia32(c, c.f32arena, x)
 	}
 	if c.engine() == FastPath {
-		return c.forwardGEMM(x)
+		return c.forwardDirect(x)
 	}
 	xp := x
 	if c.Pad > 0 {
@@ -186,7 +190,7 @@ func (c *Conv2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 	}
 	c.cacheInput = xp
 	c.cacheFast = false
-	return validConvForward(xp, c.weight.Value, c.bias.Value, c.Workers)
+	return tensor.ValidConvForward(xp, c.weight.Value, c.bias.Value, c.Workers)
 }
 
 // Backward implements Layer.
@@ -198,9 +202,9 @@ func (c *Conv2D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 		panic(fmt.Sprintf("nn: Conv2D %s Backward before Forward", c.name))
 	}
 	if c.cacheFast {
-		return c.backwardGEMM(gradOut)
+		return c.backwardDirect(gradOut)
 	}
-	dxPadded := validConvBackward(c.cacheInput, c.weight.Value, gradOut, c.weight.Grad, c.bias.Grad, c.Workers)
+	dxPadded := tensor.ValidConvBackward(c.cacheInput, c.weight.Value, gradOut, c.weight.Grad, c.bias.Grad, c.Workers)
 	c.cacheInput = nil
 	if c.Pad > 0 {
 		return tensor.Crop2D(dxPadded, c.Pad)
@@ -208,279 +212,57 @@ func (c *Conv2D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	return dxPadded
 }
 
-// convTileCols returns the column-tile width of the tiled GEMM engine:
-// wide enough to amortize per-tile setup, narrow enough that one
-// [C·K² × tile] im2col panel (~512 KiB) stays L2-resident across the
-// whole reduction sweep — the locality property that makes the lowered
-// convolution faster than the naive loops instead of memory-bound.
-// The width depends only on the layer shape, never on the worker
-// count, so tiling preserves the engine's bit-identical-results
-// contract.
-func convTileCols(ckk, frame int) int {
-	const targetFloats = 1 << 16 // 512 KiB per panel
-	tw := targetFloats / ckk
-	tw &^= 7
-	if tw < 32 {
-		tw = 32
-	}
-	if tw > frame {
-		tw = frame
-	}
-	return tw
+// direct returns the layer's kernel geometry for an n×h×w input batch.
+func (c *Conv2D) direct(n, h, w int) tensor.DirectConv {
+	return tensor.DirectConv{N: n, Cin: c.InChannels, H: h, W: w,
+		Cout: c.OutChannels, K: c.Kernel, Pad: c.Pad, Workers: c.Workers}
 }
 
-// forwardGEMM computes the convolution as matrix products over
-// cache-sized column tiles (DESIGN.md §3): each tile of output
-// positions is lowered with Im2ColWindow into a [Cin·K² × tile] panel
-// resident in the scratch arena, the kernel tensor is viewed as a
-// [Cout × Cin·K²] matrix, and the tile's output columns are
-// Y[:, tile] = W·panel + b. Padding is folded into the lowering, so no
-// padded input copy is ever materialized.
-//
-// The batch axis is folded into the tile axis (DESIGN.md §9): a batch
-// of N images is one sweep over N·ntiles (image, tile) tasks with a
-// single scratch reservation, so the whole batch flows through the
-// layer as one tall lowered product instead of N independent calls.
-// Tile geometry is strictly per-image — tiles never span image
-// boundaries — because the GEMM kernels' per-element rounding depends
-// on the element's position within its panel: per-image tiling is what
-// makes a batched forward bit-identical, image for image, to N
-// batch-of-1 forwards (asserted by nn/batched_test.go). With
-// Workers > 1 the (image, tile) tasks — whose output columns are
-// disjoint — fan out to goroutines, each with its own panel, so
-// parallelism now scales with the batch even when a single frame has
-// few tiles. The raw input is cached for Backward by reference, making
-// steady-state Forward calls allocation-free in the lowering — only
-// the output tensor itself is freshly allocated.
-func (c *Conv2D) forwardGEMM(x *tensor.Tensor) *tensor.Tensor {
-	n, cin, h, wid := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
-	k, cout := c.Kernel, c.OutChannels
-	oh := tensor.ConvOutSize(h, k, c.Pad)
-	ow := tensor.ConvOutSize(wid, k, c.Pad)
-	if oh <= 0 || ow <= 0 {
-		panic(fmt.Sprintf("nn: conv input %dx%d smaller than kernel %d", h+2*c.Pad, wid+2*c.Pad, k))
-	}
-
-	// Cache the raw input by reference (Backward re-lowers it). This
-	// relies on the layer protocol's single-flight contract: the input
-	// must not be mutated between Forward and the matching Backward —
-	// true everywhere in this repository, where layer inputs are the
-	// previous layer's freshly built output.
+// forwardDirect runs the direct convolution kernel (DESIGN.md §3):
+// padding is staged inside the kernel's scratch, so no padded copy or
+// lowered panel is materialized, and the batch is one kernel call.
+// Every output element runs the same instruction sequence whatever its
+// image, position or worker, so batched, tiled and parallel forwards
+// are bit-identical to their batch-of-1, whole-frame and serial
+// counterparts. The raw input is cached for Backward by reference,
+// which relies on the layer protocol's single-flight contract: the
+// input is not mutated between Forward and the matching Backward —
+// true everywhere in this repository, where layer inputs are the
+// previous layer's freshly built output. At steady state the output
+// tensor is the only allocation.
+func (c *Conv2D) forwardDirect(x *tensor.Tensor) *tensor.Tensor {
+	d := c.direct(x.Dim(0), x.Dim(2), x.Dim(3))
+	mark := c.scratch.Mark()
+	scratch := c.scratch.Alloc(d.ScratchLen()) // panics on a geometry the kernel cannot run
 	c.cacheInput = x
 	c.cacheFast = true
-
-	ckk := tensor.Im2ColRows(cin, k)
-	frame := oh * ow
-	tw := convTileCols(ckk, frame)
-	ntiles := (frame + tw - 1) / tw
-	tasks := n * ntiles
-	nw := c.Workers
-	if nw > tasks {
-		nw = tasks
-	}
-	if nw < 1 {
-		nw = 1
-	}
-
-	mark := c.scratch.Mark()
-	panels := make([][]float64, nw)
-	for w := range panels {
-		panels[w] = c.scratch.Alloc(ckk * tw)
-	}
-	defer c.scratch.Release(mark)
-
-	y := tensor.New(n, cout, oh, ow)
-	xd, wd, yd, bd := x.Data(), c.weight.Value.Data(), y.Data(), c.bias.Value.Data()
-	// Worker w sweeps its contiguous range of (image, tile) tasks with
-	// its own panel; task output columns are disjoint, so any
-	// assignment of tasks to goroutines produces identical results.
-	parallelFor(nw, nw, func(w int) {
-		cols := panels[w]
-		for t := w * tasks / nw; t < (w+1)*tasks/nw; t++ {
-			in, tt := t/ntiles, t%ntiles
-			xn := xd[in*cin*h*wid : (in+1)*cin*h*wid]
-			out := yd[in*cout*frame : (in+1)*cout*frame]
-			j0 := tt * tw
-			j1 := min(j0+tw, frame)
-			twa := j1 - j0
-			tensor.Im2ColWindow(xn, cin, h, wid, k, c.Pad, j0, j1, cols)
-			for co := 0; co < cout; co++ {
-				row := out[co*frame+j0 : co*frame+j1]
-				bv := bd[co]
-				for i := range row {
-					row[i] = bv
-				}
-			}
-			tensor.GemmPanelNN(cout, twa, ckk, wd, ckk, cols, twa, out[j0:], frame, true, 1)
-		}
-	})
+	oh, ow := d.OutSize()
+	y := tensor.New(d.N, d.Cout, oh, ow)
+	d.Forward(x.Data(), c.weight.Value.Data(), c.bias.Value.Data(), y.Data(), scratch)
+	c.scratch.Release(mark)
 	return y
 }
 
-// backwardGEMM is the adjoint of forwardGEMM, again as matrix
-// products over column tiles: with the tile's output gradient dYt
-// viewed as the [Cout × tile] panel of dY,
-//
-//	dW  += dYt · panelᵀ         (GemmPanelNT)
-//	dpanel = Wᵀ · dYt           (GemmPanelTN)
-//	dx  += Col2ImWindow(dpanel) (adjoint of the lowering, drops padding)
-//
-// The patch panels are recomputed from the cached raw input — the full
-// lowering is ~K² times the input size, so re-lowering beats caching
-// it. Tiles run serially (their dW contributions and dx scatters
-// overlap); Workers > 1 parallelizes the row bands inside each GEMM,
-// which keeps every accumulation order fixed and results bit-identical
-// for any worker count.
-func (c *Conv2D) backwardGEMM(gradOut *tensor.Tensor) *tensor.Tensor {
+// backwardDirect is the adjoint of forwardDirect on the same kernel:
+// it accumulates dW and dB and returns dx, re-staging the cached raw
+// input.
+func (c *Conv2D) backwardDirect(gradOut *tensor.Tensor) *tensor.Tensor {
 	x := c.cacheInput
 	c.cacheInput = nil
-	n, cin, h, wid := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
-	k, cout := c.Kernel, c.OutChannels
-	oh := tensor.ConvOutSize(h, k, c.Pad)
-	ow := tensor.ConvOutSize(wid, k, c.Pad)
-	if gradOut.Dim(0) != n || gradOut.Dim(1) != cout || gradOut.Dim(2) != oh || gradOut.Dim(3) != ow {
-		panic(fmt.Sprintf("nn: conv backward shape mismatch x=%v w=%v dy=%v", x.Shape(), c.weight.Value.Shape(), gradOut.Shape()))
-	}
-
-	ckk := tensor.Im2ColRows(cin, k)
-	frame := oh * ow
-	tw := convTileCols(ckk, frame)
+	d := c.direct(x.Dim(0), x.Dim(2), x.Dim(3))
+	c.checkGradOut(gradOut, d)
+	dx := tensor.New(d.N, d.Cin, d.H, d.W)
 	mark := c.scratch.Mark()
-	cols := c.scratch.Alloc(ckk * tw)
-	dcols := c.scratch.Alloc(ckk * tw)
-	defer c.scratch.Release(mark)
-
-	dx := tensor.New(n, cin, h, wid)
-	xd, wd, gd, dxd := x.Data(), c.weight.Value.Data(), gradOut.Data(), dx.Data()
-	dWd, dBd := c.weight.Grad.Data(), c.bias.Grad.Data()
-
-	// Bias gradient: sum of the output gradient per output channel.
-	for in := 0; in < n; in++ {
-		for co := 0; co < cout; co++ {
-			gBase := (in*cout + co) * frame
-			s := 0.0
-			for i := gBase; i < gBase+frame; i++ {
-				s += gd[i]
-			}
-			dBd[co] += s
-		}
-	}
-
-	for in := 0; in < n; in++ {
-		xn := xd[in*cin*h*wid : (in+1)*cin*h*wid]
-		dxn := dxd[in*cin*h*wid : (in+1)*cin*h*wid]
-		dy := gd[in*cout*frame : (in+1)*cout*frame]
-		for j0 := 0; j0 < frame; j0 += tw {
-			j1 := min(j0+tw, frame)
-			twa := j1 - j0
-			tensor.Im2ColWindow(xn, cin, h, wid, k, c.Pad, j0, j1, cols)
-			tensor.GemmPanelNT(cout, ckk, twa, dy[j0:], frame, cols, twa, dWd, ckk, true, c.Workers)
-			tensor.GemmPanelTN(ckk, twa, cout, wd, ckk, dy[j0:], frame, dcols, twa, false, c.Workers)
-			tensor.Col2ImWindow(dcols, cin, h, wid, k, c.Pad, j0, j1, dxn)
-		}
-	}
+	d.Backward(x.Data(), c.weight.Value.Data(), gradOut.Data(), c.weight.Grad.Data(), c.bias.Grad.Data(),
+		dx.Data(), c.scratch.Alloc(d.ScratchLen()))
+	c.scratch.Release(mark)
 	return dx
 }
 
-// validConvForward computes a stride-1 valid cross-correlation:
-// y[n,co,oy,ox] = b[co] + Σ_{ci,ky,kx} x[n,ci,oy+ky,ox+kx] · w[co,ci,ky,kx].
-// With workers > 1, (batch, output-channel) tasks run concurrently;
-// their output regions are disjoint, so the result is identical.
-func validConvForward(x, w, b *tensor.Tensor, workers int) *tensor.Tensor {
-	n, cin, h, wid := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
-	cout, k := w.Dim(0), w.Dim(2)
-	oh, ow := h-k+1, wid-k+1
-	if oh <= 0 || ow <= 0 {
-		panic(fmt.Sprintf("nn: conv input %dx%d smaller than kernel %d", h, wid, k))
+// checkGradOut panics unless gradOut has the output shape of d.
+func (c *Conv2D) checkGradOut(gradOut *tensor.Tensor, d tensor.DirectConv) {
+	oh, ow := d.OutSize()
+	if gradOut.Rank() != 4 || gradOut.Dim(0) != d.N || gradOut.Dim(1) != d.Cout || gradOut.Dim(2) != oh || gradOut.Dim(3) != ow {
+		panic(fmt.Sprintf("nn: Conv2D %s backward shape mismatch x=[%d %d %d %d] dy=%v", c.name, d.N, d.Cin, d.H, d.W, gradOut.Shape()))
 	}
-	y := tensor.New(n, cout, oh, ow)
-	xd, wd, yd, bd := x.Data(), w.Data(), y.Data(), b.Data()
-	parallelFor(n*cout, workers, func(task int) {
-		in, co := task/cout, task%cout
-		outBase := (in*cout + co) * oh * ow
-		bv := bd[co]
-		for i := outBase; i < outBase+oh*ow; i++ {
-			yd[i] = bv
-		}
-		for ci := 0; ci < cin; ci++ {
-			inBase := (in*cin + ci) * h * wid
-			wBase := ((co*cin + ci) * k) * k
-			for ky := 0; ky < k; ky++ {
-				wrow := wd[wBase+ky*k : wBase+(ky+1)*k]
-				for oy := 0; oy < oh; oy++ {
-					srcRow := xd[inBase+(oy+ky)*wid : inBase+(oy+ky)*wid+wid]
-					dstRow := yd[outBase+oy*ow : outBase+(oy+1)*ow]
-					for kx := 0; kx < k; kx++ {
-						wv := wrow[kx]
-						if wv == 0 {
-							continue
-						}
-						src := srcRow[kx : kx+ow]
-						for ox := range dstRow {
-							dstRow[ox] += wv * src[ox]
-						}
-					}
-				}
-			}
-		}
-	})
-	return y
-}
-
-// validConvBackward accumulates dW and dB from gradOut and returns
-// dL/dx for the (already padded) input of validConvForward. With
-// workers > 1 the bias gradient is computed serially (it is cheap),
-// and the main sweep fans out over input channels, whose dW and dx
-// regions are disjoint — results are identical to the serial path.
-func validConvBackward(x, w, gradOut, dW, dB *tensor.Tensor, workers int) *tensor.Tensor {
-	n, cin, h, wid := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
-	cout, k := w.Dim(0), w.Dim(2)
-	oh, ow := gradOut.Dim(2), gradOut.Dim(3)
-	if gradOut.Dim(0) != n || gradOut.Dim(1) != cout || oh != h-k+1 || ow != wid-k+1 {
-		panic(fmt.Sprintf("nn: conv backward shape mismatch x=%v w=%v dy=%v", x.Shape(), w.Shape(), gradOut.Shape()))
-	}
-	dx := tensor.New(n, cin, h, wid)
-	xd, wd, gd, dxd := x.Data(), w.Data(), gradOut.Data(), dx.Data()
-	dWd, dBd := dW.Data(), dB.Data()
-
-	// Bias gradient: sum of the output gradient per output channel.
-	for in := 0; in < n; in++ {
-		for co := 0; co < cout; co++ {
-			gBase := (in*cout + co) * oh * ow
-			s := 0.0
-			for i := gBase; i < gBase+oh*ow; i++ {
-				s += gd[i]
-			}
-			dBd[co] += s
-		}
-	}
-
-	parallelFor(cin, workers, func(ci int) {
-		for in := 0; in < n; in++ {
-			inBase := (in*cin + ci) * h * wid
-			for co := 0; co < cout; co++ {
-				gBase := (in*cout + co) * oh * ow
-				wBase := ((co*cin + ci) * k) * k
-				for ky := 0; ky < k; ky++ {
-					for oy := 0; oy < oh; oy++ {
-						gRow := gd[gBase+oy*ow : gBase+(oy+1)*ow]
-						srcRow := xd[inBase+(oy+ky)*wid : inBase+(oy+ky)*wid+wid]
-						dxRow := dxd[inBase+(oy+ky)*wid : inBase+(oy+ky)*wid+wid]
-						for kx := 0; kx < k; kx++ {
-							wv := wd[wBase+ky*k+kx]
-							acc := 0.0
-							src := srcRow[kx : kx+ow]
-							dst := dxRow[kx : kx+ow]
-							for ox, g := range gRow {
-								acc += g * src[ox]
-								dst[ox] += g * wv
-							}
-							dWd[wBase+ky*k+kx] += acc
-						}
-					}
-				}
-			}
-		}
-	})
-	return dx
 }

@@ -219,6 +219,28 @@ func (c *ConvTranspose2D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	return dx
 }
 
+// convTileCols returns the column-tile width of the transpose
+// convolution's tiled GEMM engine: wide enough to amortize per-tile
+// setup, narrow enough that one [C·K² × tile] im2col panel (~512 KiB)
+// stays L2-resident across the whole reduction sweep — the locality
+// property that makes the lowered product faster than the naive loops
+// instead of memory-bound.
+// The width depends only on the layer shape, never on the worker
+// count, so tiling preserves the engine's bit-identical-results
+// contract.
+func convTileCols(ckk, frame int) int {
+	const targetFloats = 1 << 16 // 512 KiB per panel
+	tw := targetFloats / ckk
+	tw &^= 7
+	if tw < 32 {
+		tw = 32
+	}
+	if tw > frame {
+		tw = frame
+	}
+	return tw
+}
+
 // forwardGEMM expresses the scatter as linear algebra over cache-sized
 // column tiles of the input frame, per sample: with X viewed
 // [Cin × H·W] and W viewed [Cin × Cout·K²],
@@ -226,9 +248,10 @@ func (c *ConvTranspose2D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 //	panel = Wᵀ · X[:, tile]          (GemmPanelTN, [Cout·K² × tile])
 //	y    += Col2ImWindow(panel)      (scatter; y prefilled with bias)
 //
-// which is exactly the adjoint of the Conv2D fast path with the roles
-// of image and output swapped: the transpose-conv output (size
-// OH = H+K-1) plays the "image" and the input plays the "conv output".
+// which is exactly the adjoint of an im2col-lowered convolution with
+// the roles of image and output swapped: the transpose-conv output
+// (size OH = H+K-1) plays the "image" and the input plays the "conv
+// output".
 // Within one image, tiles run serially — their scatters into y
 // overlap. Across a batch, images are independent (their scatters are
 // disjoint), so with Workers > 1 and N > 1 whole images fan out to
@@ -242,7 +265,7 @@ func (c *ConvTranspose2D) forwardGEMM(x *tensor.Tensor) *tensor.Tensor {
 	k, cout := c.Kernel, c.OutChannels
 	oh, ow := h+k-1, wid+k-1
 
-	// Cache by reference (see Conv2D.forwardGEMM): the input must not
+	// Cache by reference (see Conv2D.forwardDirect): the input must not
 	// be mutated between Forward and the matching Backward.
 	c.cacheInput = x
 	c.cacheFast = true

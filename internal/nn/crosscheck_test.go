@@ -118,7 +118,7 @@ func closeTensors(t *testing.T, what string, got, want *tensor.Tensor, tol float
 	}
 }
 
-// TestConvFastSlowCrosscheck is the correctness contract of the GEMM
+// TestConvFastSlowCrosscheck is the correctness contract of the direct
 // engine: for every padding regime and worker count, the fast path
 // must match the naive reference loops to ~1e-12 on the forward output
 // and on every gradient (dx, dW, dB). The two engines accumulate in

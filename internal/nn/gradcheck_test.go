@@ -107,11 +107,11 @@ func TestConv2DGradientsSamePadding(t *testing.T) {
 	checkLayerGradients(t, layer, x, 1e-5)
 }
 
-// The default engine is the GEMM fast path, so the tests above already
+// The default engine is the fast path, so the tests above already
 // finite-difference-check it; the SlowPath variants below keep the
 // naive reference loops under the same scrutiny, and the Workers
-// variants cover the parallel tiling of the fast path (including the
-// Pad=0 valid convolution the neighbour-padding strategy uses).
+// variants cover the parallel task split of the fast path (including
+// the Pad=0 valid convolution the neighbour-padding strategy uses).
 
 func TestConv2DGradientsValidSlowPath(t *testing.T) {
 	withBackend(SlowPath, func() {

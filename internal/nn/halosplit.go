@@ -31,16 +31,16 @@ import (
 // can post the exchange non-blocking and compute tiles while strips
 // are in flight.
 //
-// Determinism. The GEMM engine's per-element rounding depends on each
-// element's position within its panel (FMA body vs scalar tail), so a
-// tiled first layer is NOT bit-identical to a whole-frame first layer
-// — it is identical to float round-off only. Bit-reproducibility
-// across exchange modes is achieved by construction instead: the
-// Session runs this same five-tile split in BOTH modes (blocking mode
-// simply computes all five tiles after a blocking exchange), so
-// {mem, tcp} × {blocking, overlap} produce identical frames. The
-// crosscheck test asserts the split agrees with the whole-frame
-// forward to 1e-12.
+// Determinism. The tiles are bit-identical to the matching windows of
+// a whole-frame first layer, on both engines and in both precisions:
+// the direct kernel runs every output element through the same
+// instruction sequence wherever it sits in the frame (no SIMD scalar
+// tails, tensor/directconv.go), and the naive loops accumulate each
+// element in the same order too. So {mem, tcp} × {blocking, overlap}
+// produce identical frames, and they equal an unsplit forward; the
+// Session still runs this same five-tile split in both modes, which
+// keeps the two paths issuing identical kernel calls. The halo-split
+// tests assert tiled == whole frame bit for bit.
 
 // HaloSplit is the per-subdomain tile plan: geometry plus the split of
 // the network into its halo-consuming first convolution and the

@@ -31,11 +31,10 @@ func cropOf(ext *tensor.Tensor) CropFunc {
 	}
 }
 
-// TestHaloSplitMatchesWholeFrame: the five-tile split agrees with the
-// whole-frame forward to float round-off on both engines, for even,
-// odd, and non-square subdomain sizes (odd sizes exercise the GEMM
-// scalar-tail positions that make the split only tolerance-equal to
-// the whole frame).
+// TestHaloSplitMatchesWholeFrame: the five-tile split is bit-identical
+// to the whole-frame forward on both engines, for even, odd, and
+// non-square subdomain sizes — every output element runs the same
+// instruction sequence wherever its tile puts it.
 func TestHaloSplitMatchesWholeFrame(t *testing.T) {
 	const halo = 2
 	for _, backend := range []ConvBackend{FastPath, SlowPath} {
@@ -53,7 +52,7 @@ func TestHaloSplitMatchesWholeFrame(t *testing.T) {
 			if got.Dim(2) != h || got.Dim(3) != w || !want.SameShape(got) {
 				t.Fatalf("%v %dx%d: shape %v, want %v", backend, h, w, got.Shape(), want.Shape())
 			}
-			if !got.AllClose(want, 1e-12) {
+			if !got.Equal(want) {
 				t.Fatalf("%v %dx%d: split differs from whole frame by %g",
 					backend, h, w, got.Sub(want).AbsMax())
 			}
@@ -89,8 +88,8 @@ func TestHaloSplitDeterministic(t *testing.T) {
 }
 
 // TestHaloSplitWindowConcat: with a temporal window, tiles crop and
-// concatenate several frames; the result must match the whole-frame
-// forward of the concatenated input.
+// concatenate several frames; the result must equal the whole-frame
+// forward of the concatenated input bit for bit.
 func TestHaloSplitWindowConcat(t *testing.T) {
 	const halo, h, w, window = 2, 9, 10, 3
 	net := haloNet(t, 4*window, halo)
@@ -104,7 +103,7 @@ func TestHaloSplitWindowConcat(t *testing.T) {
 	}
 	got := split.ForwardComplete(crop)
 	want := net.Forward(tensor.ConcatChannels(frames...))
-	if !got.AllClose(want, 1e-12) {
+	if !got.Equal(want) {
 		t.Fatalf("windowed split differs by %g", got.Sub(want).AbsMax())
 	}
 }

@@ -60,6 +60,23 @@ func TestConv2DBiasApplied(t *testing.T) {
 	}
 }
 
+// TestConv2DForwardAllocsOnlyOutput is the f64 fast path's allocation
+// contract: once the scratch arena is warm, a Forward allocates exactly
+// what building its output tensor does and nothing else — the kernel
+// loop makes no interface conversion or closure.
+func TestConv2DForwardAllocsOnlyOutput(t *testing.T) {
+	g := tensor.NewRNG(2)
+	for _, c := range []*Conv2D{NewConv2D("same", g, 6, 16, 5, SamePad(5)), NewConv2D("valid", g, 4, 6, 5, 0)} {
+		x := tensor.Normal(g, 0, 1, 2, c.InChannels, 20, 20)
+		y := c.Forward(x)
+		got := testing.AllocsPerRun(20, func() { c.Forward(x) })
+		want := testing.AllocsPerRun(20, func() { tensor.New(y.Dim(0), y.Dim(1), y.Dim(2), y.Dim(3)) })
+		if got != want {
+			t.Fatalf("%s: Forward allocates %.1f objects/op, building its output %.1f", c.Name(), got, want)
+		}
+	}
+}
+
 // Property: convolution is linear in the input once the bias is
 // subtracted: conv(a+b) - conv(0) == (conv(a)-conv(0)) + (conv(b)-conv(0)).
 func TestQuickConvLinearity(t *testing.T) {

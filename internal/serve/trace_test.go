@@ -3,12 +3,13 @@ package serve
 import (
 	"bufio"
 	"bytes"
-	"context"
 	"encoding/json"
+	"io"
 	"log"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -147,36 +148,88 @@ func TestRequestIDInRolloutStream(t *testing.T) {
 	}
 }
 
+// syncLog is an access-log sink safe for concurrent use. The server
+// writes a request's line after the handler returns — possibly after
+// the client has its response — so Write guards the buffer and signals
+// each line, and a test waits on those signals instead of on
+// scheduling.
+type syncLog struct {
+	mu    sync.Mutex
+	buf   bytes.Buffer
+	lines chan struct{}
+}
+
+func newSyncLog() *syncLog { return &syncLog{lines: make(chan struct{}, 1)} }
+
+func (l *syncLog) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n, err := l.buf.Write(p)
+	select {
+	case l.lines <- struct{}{}:
+	default: // a wake-up is already pending; the waiter re-reads the whole log
+	}
+	return n, err
+}
+
+// waitFor returns the log once it contains every want, failing the
+// test if that takes longer than a generous deadline.
+func (l *syncLog) waitFor(t *testing.T, want ...string) string {
+	t.Helper()
+	deadline := time.After(10 * time.Second)
+	for {
+		l.mu.Lock()
+		logged := l.buf.String()
+		l.mu.Unlock()
+		missing := ""
+		for _, w := range want {
+			if !strings.Contains(logged, w) {
+				missing = w
+				break
+			}
+		}
+		if missing == "" {
+			return logged
+		}
+		select {
+		case <-l.lines:
+		case <-deadline:
+			t.Fatalf("access log still lacks %q after 10s:\n%s", missing, logged)
+		}
+	}
+}
+
 // TestAccessLog asserts the access log names method, path, status and
 // request ID, and that rollouts add a comm-stats summary line under
 // the same ID.
 func TestAccessLog(t *testing.T) {
-	var buf bytes.Buffer
-	srv, _ := newTestServer(t, Config{AccessLog: log.New(&buf, "", 0)})
+	sink := newSyncLog()
+	srv, _ := newTestServer(t, Config{AccessLog: log.New(sink, "", 0)})
 	hs := httptest.NewServer(srv)
 	defer hs.Close()
 	resp := postJSON(t, hs.URL+"/v1/rollout?steps=2", "logged-1", predictBody(t))
 	resp.Body.Close()
-	logged := buf.String()
-	if !strings.Contains(logged, "POST /v1/rollout status=200") || !strings.Contains(logged, "request=logged-1") {
-		t.Fatalf("request line missing from access log:\n%s", logged)
-	}
-	if !strings.Contains(logged, "rollout request=logged-1") || !strings.Contains(logged, "comm_msgs=") {
-		t.Fatalf("rollout comm summary missing from access log:\n%s", logged)
-	}
+	sink.waitFor(t, "POST /v1/rollout status=200", "request=logged-1", "rollout request=logged-1", "comm_msgs=")
 }
 
 // TestMetricsHistograms asserts /metrics exports the request-latency
-// and batch-fill histograms for a served model after traffic.
+// and batch-fill histograms for a served model after traffic. The
+// handler observes the latency as it returns, after the JSON body may
+// already have reached the client, so the test reads the predict
+// response to EOF — which the server sends only once the handler has
+// returned — before it scrapes.
 func TestMetricsHistograms(t *testing.T) {
-	srv, client := newTestServer(t, Config{MaxBatch: 4, MaxDelay: time.Millisecond})
-	ds, _ := fixture(t)
-	ctx := context.Background()
-	if _, err := client.Predict(ctx, ds.Snapshots[0]); err != nil {
-		t.Fatal(err)
-	}
+	srv, _ := newTestServer(t, Config{MaxBatch: 4, MaxDelay: time.Millisecond})
 	hs := httptest.NewServer(srv)
 	defer hs.Close()
+	pr := postJSON(t, hs.URL+"/v1/predict", "", predictBody(t))
+	if _, err := io.Copy(io.Discard, pr.Body); err != nil {
+		t.Fatal(err)
+	}
+	pr.Body.Close()
+	if pr.StatusCode != http.StatusOK {
+		t.Fatalf("predict status %d", pr.StatusCode)
+	}
 	resp, err := http.Get(hs.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)

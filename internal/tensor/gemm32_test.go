@@ -177,8 +177,8 @@ func TestIm2Col32MatchesFloat64(t *testing.T) {
 	}
 }
 
-// TestDirectConv32MatchesLowered checks the direct kernel against the
-// im2col32 + GEMM32 route on the same float32 operands: both are f32
+// TestDirectConv32MatchesLowered checks the direct kernel's float32
+// forward against the im2col32 + GEMM32 route on the same operands: both are f32
 // computations of the same sums, so they must agree to f32 round-off,
 // and against shapes that exercise every padding edge case.
 func TestDirectConv32MatchesLowered(t *testing.T) {
@@ -200,8 +200,8 @@ func TestDirectConv32MatchesLowered(t *testing.T) {
 		ow := ConvOutSize(tc.w, tc.k, tc.pad)
 
 		direct := make([]float32, tc.cout*oh*ow)
-		scratch := make([]float32, DirectConv32ScratchLen(tc.cin, tc.h, tc.w, tc.k, tc.pad))
-		DirectConv32(x, tc.cin, tc.h, tc.w, wgt, tc.cout, tc.k, tc.pad, bias, direct, scratch)
+		d := DirectConv{N: 1, Cin: tc.cin, H: tc.h, W: tc.w, Cout: tc.cout, K: tc.k, Pad: tc.pad}
+		d.Forward32(x, wgt, bias, direct, make([]float32, d.ScratchLen()))
 
 		rows := Im2ColRows(tc.cin, tc.k)
 		cols := make([]float32, rows*oh*ow)
@@ -237,13 +237,13 @@ func TestDirectConv32ZeroWeightSkip(t *testing.T) {
 	}
 	oh, ow := ConvOutSize(h, k, pad), ConvOutSize(w, k, pad)
 	got := make([]float32, cout*oh*ow)
-	scratch := make([]float32, DirectConv32ScratchLen(cin, h, w, k, pad))
-	DirectConv32(x, cin, h, w, wgt, cout, k, pad, nil, got, scratch)
+	d := DirectConv{N: 1, Cin: cin, H: h, W: w, Cout: cout, K: k, Pad: pad}
+	d.Forward32(x, wgt, nil, got, make([]float32, d.ScratchLen()))
 
 	rows := Im2ColRows(cin, k)
 	cols := make([]float32, rows*oh*ow)
 	Im2Col32(x, cin, h, w, k, pad, cols)
 	want := make([]float32, cout*oh*ow)
 	GemmPanelNN32(cout, oh*ow, rows, wgt, rows, cols, oh*ow, want, oh*ow, false, 1)
-	closeSlices32(t, "DirectConv32 zero-skip", got, widen(want), gemm32Tol)
+	closeSlices32(t, "Forward32 zero-skip", got, widen(want), gemm32Tol)
 }
